@@ -4,7 +4,7 @@ GO ?= go
 # lifetime-engine microbenchmarks.
 BENCH_PKGS = . ./internal/cache
 
-.PHONY: all build vet test race rootcause-diff check bench bench-compare bench-smoke cache-smoke serve-smoke chaos-smoke cluster-smoke docs-check
+.PHONY: all build vet test race rootcause-diff fuzz-smoke check bench bench-compare bench-smoke cache-smoke serve-smoke chaos-smoke cluster-smoke docs-check
 
 all: check
 
@@ -33,6 +33,17 @@ race:
 rootcause-diff:
 	$(GO) test ./internal/inject -run 'TestRootCause' -count=2
 	$(GO) test ./internal/rootcause -count=2
+
+# fuzz-smoke runs every Fuzz* target under internal/ for 10 s each
+# (the decoders of on-disk and on-wire bytes: persist frames,
+# trial blobs, golden-info blobs, checkpoint manifests). A target is
+# found by its declaration, so a new one joins without editing this.
+fuzz-smoke:
+	@grep -r --include='*_test.go' -o '^func Fuzz[A-Za-z0-9_]*' internal | sed 's/:func / /' | \
+	while read file target; do \
+		echo "fuzz-smoke: $$target ($$(dirname $$file))"; \
+		$(GO) test ./$$(dirname $$file) -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s || exit 1; \
+	done
 
 check: vet build test
 

@@ -310,3 +310,49 @@ func TestSearchCacheDoesNotAlterTrajectory(t *testing.T) {
 			stored.Knobs, stored.Fitness, stored.Evaluations)
 	}
 }
+
+// TestSearchEvaluationsRaceFree: with parallel fitness evaluation, two
+// workers can draw the same candidate at once and both evaluate it;
+// Evaluations must still count it once. The count must repeat exactly
+// across parallel runs and equal the number of distinct normalised
+// knobs, which a sequential run on a fresh store measures as the
+// simulations it ran (every distinct candidate once, plus the final
+// evaluation).
+func TestSearchEvaluationsRaceFree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("GA search in -short mode")
+	}
+	spec := func(par int) SearchSpec {
+		return SearchSpec{
+			Config: testCfg(),
+			Eval:   pipe.RunConfig{MaxInstructions: 12_000, WarmupInstructions: 6_000},
+			Final:  pipe.RunConfig{MaxInstructions: 24_000, WarmupInstructions: 6_000},
+			GA:     ga.Config{PopSize: 12, Generations: 8, Seed: 6, Parallelism: par},
+			Cache:  simcache.New(simcache.Options{}),
+		}
+	}
+	seq := spec(1)
+	want, err := Search(context.Background(), seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.FailedEvals != 0 {
+		t.Fatalf("%d failed candidates: the store no longer counts distinct candidates", want.FailedEvals)
+	}
+	if distinct := seq.Cache.Stats().Simulated - 1; want.Evaluations != distinct {
+		t.Fatalf("sequential search counted %d evaluations of %d distinct candidates", want.Evaluations, distinct)
+	}
+	// One worker per individual puts a generation's candidates in
+	// flight together; this seed draws the same new candidate twice in
+	// one generation.
+	for run := 0; run < 4; run++ {
+		got, err := Search(context.Background(), spec(12))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Evaluations != want.Evaluations || !reflect.DeepEqual(got.History, want.History) {
+			t.Fatalf("run %d at parallelism 12: %d evaluations, sequential %d (history equal: %v)",
+				run, got.Evaluations, want.Evaluations, reflect.DeepEqual(got.History, want.History))
+		}
+	}
+}

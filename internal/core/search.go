@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"avfstress/internal/avf"
 	"avfstress/internal/codegen"
@@ -231,10 +230,9 @@ func Search(ctx context.Context, spec SearchSpec) (*SearchResult, error) {
 	}
 	ev.WithCache(spec.Cache)
 	var (
-		mu    sync.Mutex
-		memo  = map[codegen.Knobs]float64{}
-		evals atomic.Int64
-		fails atomic.Int64
+		mu           sync.Mutex // guards memo, evals and fails
+		memo         = map[codegen.Knobs]float64{}
+		evals, fails int64
 	)
 	fitness := func(g ga.Genome) (float64, error) {
 		k := KnobsFromGenome(g).Normalize(spec.Config)
@@ -253,16 +251,22 @@ func Search(ctx context.Context, spec SearchSpec) (*SearchResult, error) {
 				return 0, err
 			}
 			// Cull infeasible candidates instead of aborting the search.
-			fails.Add(1)
 			f = 0
 		}
-		// Count distinct candidates (process-local memo misses) whether
-		// the simulation ran or was served by the shared cache: the
-		// number is then a pure function of the GA trajectory, so search
-		// reports stay byte-identical across cold and warm caches.
-		evals.Add(1)
+		// Count distinct candidates whether the simulation ran or was
+		// served by the shared cache: the number is then a pure function
+		// of the GA trajectory, so search reports stay byte-identical
+		// across cold and warm caches. Concurrent duplicates of one
+		// candidate both miss the memo above and both evaluate; only
+		// the one that inserts it counts.
 		mu.Lock()
-		memo[k] = f
+		if _, dup := memo[k]; !dup {
+			memo[k] = f
+			evals++
+			if err != nil {
+				fails++
+			}
+		}
 		mu.Unlock()
 		return f, nil
 	}
@@ -292,8 +296,8 @@ func Search(ctx context.Context, spec SearchSpec) (*SearchResult, error) {
 		Result:      res,
 		Fitness:     res.Fitness(spec.Config, spec.Rates, spec.Weights),
 		History:     gres.History,
-		Evaluations: evals.Load(),
-		FailedEvals: fails.Load(),
+		Evaluations: evals,
+		FailedEvals: fails,
 		Cataclysms:  gres.Cataclysms,
 		RootCause:   rc,
 	}, nil

@@ -10,9 +10,8 @@ package inject
 // participate in trial-outcome addressing or in the report.
 
 import (
-	"fmt"
+	"errors"
 	"strconv"
-	"strings"
 	"sync"
 
 	"avfstress/internal/pipe"
@@ -29,48 +28,54 @@ import (
 // intervals are always recorded and always encoded — blob content is
 // independent of the producing campaign's PruneStatic setting, so warm
 // and cold campaigns see identical prune inputs.
+//
+//	goldeninfo v2 <window start> <cycles> <digest> <n> (<slot> <start> <end>)×n
 func encodeGoldenInfo(gi pipe.GoldenInfo) []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "goldeninfo v2 %d %d %d %d", gi.WindowStart, gi.Cycles, gi.Digest, len(gi.RFDead))
+	b := make([]byte, 0, 48+24*len(gi.RFDead))
+	b = append(b, "goldeninfo v2 "...)
+	b = strconv.AppendInt(b, gi.WindowStart, 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, gi.Cycles, 10)
+	b = append(b, ' ')
+	b = strconv.AppendUint(b, gi.Digest, 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(len(gi.RFDead)), 10)
 	for _, iv := range gi.RFDead {
-		fmt.Fprintf(&b, " %d %d %d", iv.Slot, iv.Start, iv.End)
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(iv.Slot), 10)
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, iv.Start, 10)
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, iv.End, 10)
 	}
-	return []byte(b.String())
+	return b
 }
 
+// decodeGoldenInfo parses a v2 golden-info blob. Only the canonical
+// encoding scans, so anything it accepts re-encodes to the identical
+// bytes.
 func decodeGoldenInfo(b []byte) (pipe.GoldenInfo, error) {
-	var gi pipe.GoldenInfo
-	fields := strings.Fields(string(b))
-	if len(fields) < 6 || fields[0] != "goldeninfo" || fields[1] != "v2" {
-		return pipe.GoldenInfo{}, fmt.Errorf("inject: bad golden-info blob")
+	sc := fieldScanner{rest: string(b)}
+	sc.literal("goldeninfo")
+	sc.literal("v2")
+	gi := pipe.GoldenInfo{WindowStart: sc.int(64), Cycles: sc.int(64), Digest: sc.uint()}
+	n := sc.int(64)
+	if sc.bad {
+		return pipe.GoldenInfo{}, errors.New("inject: bad golden-info blob")
 	}
-	vals := make([]int64, 0, len(fields)-2)
-	for _, f := range fields[2:] {
-		v, err := strconv.ParseInt(f, 10, 64)
-		if err != nil {
-			// Digest is unsigned and may exceed int64.
-			u, uerr := strconv.ParseUint(f, 10, 64)
-			if uerr != nil {
-				return pipe.GoldenInfo{}, fmt.Errorf("inject: bad golden-info blob: %w", err)
-			}
-			v = int64(u)
-		}
-		vals = append(vals, v)
-	}
-	gi.WindowStart, gi.Cycles, gi.Digest = vals[0], vals[1], uint64(vals[2])
-	n := vals[3]
-	if n < 0 || int64(len(vals)-4) != 3*n {
-		return pipe.GoldenInfo{}, fmt.Errorf("inject: golden-info interval count mismatch")
+	// Each interval takes at least six bytes (" 0 0 0"), which bounds
+	// the allocation a corrupt count could ask for.
+	if n < 0 || n > int64(len(b)/6) {
+		return pipe.GoldenInfo{}, errors.New("inject: golden-info interval count mismatch")
 	}
 	if n > 0 {
 		gi.RFDead = make([]pipe.RFDeadInterval, n)
-		for i := int64(0); i < n; i++ {
-			gi.RFDead[i] = pipe.RFDeadInterval{
-				Slot:  int16(vals[4+3*i]),
-				Start: vals[4+3*i+1],
-				End:   vals[4+3*i+2],
-			}
+		for i := range gi.RFDead {
+			gi.RFDead[i] = pipe.RFDeadInterval{Slot: int16(sc.int(16)), Start: sc.int(64), End: sc.int(64)}
 		}
+	}
+	if !sc.done() {
+		return pipe.GoldenInfo{}, errors.New("inject: bad golden-info blob")
 	}
 	return gi, nil
 }
@@ -83,35 +88,47 @@ type ckptManifest struct {
 	cycles   []int64
 }
 
-func encodeManifest(cs *pipe.CheckpointSet) []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "ckptmanifest v1 %d %d %d", cs.Interval, cs.Lead, len(cs.Checkpoints))
-	for _, c := range cs.Cycles() {
-		fmt.Fprintf(&b, " %d", c)
+// encodeManifest serialises a checkpoint set's manifest:
+//
+//	ckptmanifest v1 <interval> <lead> <n> <cycle>×n
+func encodeManifest(interval, lead int64, cycles []int64) []byte {
+	b := make([]byte, 0, 32+8*len(cycles))
+	b = append(b, "ckptmanifest v1 "...)
+	b = strconv.AppendInt(b, interval, 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, lead, 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(len(cycles)), 10)
+	for _, c := range cycles {
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, c, 10)
 	}
-	return []byte(b.String())
+	return b
 }
 
+// decodeManifest parses a checkpoint manifest. Only the canonical
+// encoding scans, so anything it accepts re-encodes to the identical
+// bytes.
 func decodeManifest(b []byte) (ckptManifest, error) {
-	var m ckptManifest
-	fields := strings.Fields(string(b))
-	if len(fields) < 5 || fields[0] != "ckptmanifest" || fields[1] != "v1" {
-		return m, fmt.Errorf("inject: bad checkpoint manifest")
+	sc := fieldScanner{rest: string(b)}
+	sc.literal("ckptmanifest")
+	sc.literal("v1")
+	m := ckptManifest{interval: sc.int(64), lead: sc.int(64)}
+	n := sc.int(64)
+	if sc.bad {
+		return ckptManifest{}, errors.New("inject: bad checkpoint manifest")
 	}
-	vals := make([]int64, 0, len(fields)-2)
-	for _, f := range fields[2:] {
-		v, err := strconv.ParseInt(f, 10, 64)
-		if err != nil {
-			return m, fmt.Errorf("inject: bad checkpoint manifest: %w", err)
-		}
-		vals = append(vals, v)
+	// Each cycle takes at least two bytes (" 0").
+	if n < 0 || n > int64(len(b)/2) {
+		return ckptManifest{}, errors.New("inject: checkpoint manifest count mismatch")
 	}
-	m.interval, m.lead = vals[0], vals[1]
-	n := vals[2]
-	if n < 0 || int64(len(vals)-3) != n {
-		return m, fmt.Errorf("inject: checkpoint manifest count mismatch")
+	m.cycles = make([]int64, n)
+	for i := range m.cycles {
+		m.cycles[i] = sc.int(64)
 	}
-	m.cycles = vals[3:]
+	if !sc.done() {
+		return ckptManifest{}, errors.New("inject: bad checkpoint manifest")
+	}
 	return m, nil
 }
 

@@ -319,6 +319,10 @@ func Run(ctx context.Context, o Options) (*Result, error) {
 	cfgFP := o.Config.Fingerprint()
 	progFP := "prog:" + o.Program.Fingerprint()
 	rcFP := o.Run.Fingerprint()
+	// Every campaign key but the golden result's shares the (config,
+	// program, budget) prefix: hash it once, so a key costs only its
+	// last part — for the thousand trial keys, the fault.
+	keyPrefix := o.Cache.Prefix(cfgFP, progFP, rcFP)
 
 	// Golden run: checkpoint-capturing and cache-aware. The result key
 	// deliberately matches the workload-simulation key internal/
@@ -331,7 +335,7 @@ func Run(ctx context.Context, o Options) (*Result, error) {
 		haveInfo bool
 		cks      *pipe.CheckpointSet
 	)
-	infoKey := o.Cache.Key(cfgFP, progFP, rcFP, "goldeninfo")
+	infoKey := keyPrefix.Key("goldeninfo")
 	// publishCheckpoints pushes a freshly captured checkpoint set to the
 	// blob tier: the manifest plus one blob per checkpoint, keyed by the
 	// interval (a different interval is a different set, not a different
@@ -342,10 +346,10 @@ func Run(ctx context.Context, o Options) (*Result, error) {
 		if o.CheckpointInterval < 0 || set == nil || o.Cache == nil {
 			return
 		}
-		manifestKey := o.Cache.Key(cfgFP, progFP, rcFP, fmt.Sprintf("ckpts:%d", o.CheckpointInterval))
-		o.Cache.PutBlob(manifestKey, encodeManifest(set))
+		manifestKey := keyPrefix.Key(fmt.Sprintf("ckpts:%d", o.CheckpointInterval))
+		o.Cache.PutBlob(manifestKey, encodeManifest(set.Interval, set.Lead, set.Cycles()))
 		for i, ck := range set.Checkpoints {
-			key := o.Cache.Key(cfgFP, progFP, rcFP, fmt.Sprintf("ckpts:%d:%d", o.CheckpointInterval, i))
+			key := keyPrefix.Key(fmt.Sprintf("ckpts:%d:%d", o.CheckpointInterval, i))
 			if b, merr := ck.MarshalBinary(); merr == nil {
 				o.Cache.PutBlob(key, b)
 			}
@@ -409,7 +413,7 @@ func Run(ctx context.Context, o Options) (*Result, error) {
 		ckptLead   int64
 	)
 	if o.CheckpointInterval >= 0 {
-		manifestKey := o.Cache.Key(cfgFP, progFP, rcFP, fmt.Sprintf("ckpts:%d", o.CheckpointInterval))
+		manifestKey := keyPrefix.Key(fmt.Sprintf("ckpts:%d", o.CheckpointInterval))
 		switch {
 		case cks != nil:
 			ckptCycles, ckptLead = cks.Cycles(), cks.Lead
@@ -420,7 +424,7 @@ func Run(ctx context.Context, o Options) (*Result, error) {
 					ckptCycles, ckptLead = m.cycles, m.lead
 					keys := make([]simcache.Key, len(m.cycles))
 					for i := range keys {
-						keys[i] = o.Cache.Key(cfgFP, progFP, rcFP, fmt.Sprintf("ckpts:%d:%d", o.CheckpointInterval, i))
+						keys[i] = keyPrefix.Key(fmt.Sprintf("ckpts:%d:%d", o.CheckpointInterval, i))
 					}
 					src = &ckptSource{cache: o.Cache, prog: o.Program, keys: keys, decoded: map[int]*pipe.Checkpoint{}}
 				} else {
@@ -559,7 +563,8 @@ func Run(ctx context.Context, o Options) (*Result, error) {
 	}
 
 	trialKey := func(f pipe.Fault) simcache.Key {
-		return o.Cache.Key(cfgFP, progFP, rcFP, "injtrial:"+f.Fingerprint())
+		var buf [96]byte
+		return keyPrefix.Key(string(f.AppendFingerprint(append(buf[:0], "injtrial:"...))))
 	}
 	var mu sync.Mutex
 	if o.CheckpointInterval < 0 {
@@ -577,7 +582,8 @@ func Run(ctx context.Context, o Options) (*Result, error) {
 					if err := ctx.Err(); err != nil {
 						return err
 					}
-					b, err := o.Cache.DoBlob(trialKey(f), func() ([]byte, error) {
+					key := trialKey(f)
+					b, err := o.Cache.DoBlob(key, func() ([]byte, error) {
 						trial, err := pool.SimulateFaultDetail(o.Program, o.Run, f)
 						if err != nil {
 							return nil, fmt.Errorf("inject: trial %s: %w", f.Fingerprint(), err)
@@ -592,7 +598,7 @@ func Run(ctx context.Context, o Options) (*Result, error) {
 						// Undecodable (a legacy v1 outcome byte, or a
 						// malformed entry): discard and fail transiently —
 						// the retry recomputes through a now-clean miss.
-						o.Cache.DiscardBlob(trialKey(f))
+						o.Cache.DiscardBlob(key)
 						return sched.Transient(fmt.Errorf("inject: trial %s: %w", f.Fingerprint(), derr))
 					}
 					mu.Lock()
@@ -617,8 +623,10 @@ func Run(ctx context.Context, o Options) (*Result, error) {
 		// index: two campaigns sharing a scheduler dedup only when they
 		// would replay exactly the same faults from the same fork point.
 		h := sha256.New()
+		var fp []byte
 		for _, f := range faults {
-			fmt.Fprintf(h, "%s\x00", f.Fingerprint())
+			fp = append(f.AppendFingerprint(fp[:0]), 0)
+			h.Write(fp)
 		}
 		jobs = append(jobs, scenario.Job{
 			Key:   fmt.Sprintf("injbucket\x00%s\x00%s\x00%s\x00%d\x00%x", cfgFP, progFP, rcFP, bi, h.Sum(nil)),
@@ -628,9 +636,11 @@ func Run(ctx context.Context, o Options) (*Result, error) {
 					return err
 				}
 				trials := make([]pipe.FaultTrial, len(faults))
+				keys := make([]simcache.Key, len(faults))
 				var missing []int
 				for i, f := range faults {
-					if b, ok := o.Cache.GetBlob(trialKey(f)); ok {
+					keys[i] = trialKey(f)
+					if b, ok := o.Cache.GetBlob(keys[i]); ok {
 						if t, derr := decodeTrial(b); derr == nil {
 							trials[i] = t
 							continue
@@ -638,7 +648,7 @@ func Run(ctx context.Context, o Options) (*Result, error) {
 						// Present but undecodable (legacy v1 outcome byte,
 						// or malformed): quarantine so the replay below
 						// overwrites a clean entry.
-						o.Cache.DiscardBlob(trialKey(f))
+						o.Cache.DiscardBlob(keys[i])
 					}
 					missing = append(missing, i)
 				}
@@ -653,7 +663,7 @@ func Run(ctx context.Context, o Options) (*Result, error) {
 					}
 					for j, i := range missing {
 						trials[i] = out[j]
-						o.Cache.PutBlob(trialKey(faults[i]), encodeTrial(out[j]))
+						o.Cache.PutBlob(keys[i], encodeTrial(out[j]))
 					}
 				}
 				mu.Lock()

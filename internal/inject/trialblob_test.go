@@ -56,19 +56,36 @@ func TestLegacyTrialBlobFailsDecode(t *testing.T) {
 	}
 }
 
-// FuzzDecodeTrial: the decoder never panics, and anything it accepts
-// re-encodes to the identical bytes (canonical form), so two distinct
-// blobs can never alias one trial record.
+// FuzzDecodeTrial: the hand-written decoder accepts exactly the blobs
+// the fmt.Sscanf oracle accepts and decodes them to the same record,
+// never panics, and anything it accepts re-encodes to the identical
+// bytes (canonical form), so two distinct blobs can never alias one
+// trial record.
 func FuzzDecodeTrial(f *testing.F) {
 	for _, tr := range sampleTrials() {
 		f.Add(encodeTrial(tr))
 	}
 	f.Add([]byte{1})
 	f.Add([]byte("injtrial v2 1 -1 0 0 -1"))
+	for _, s := range []string{
+		"injtrial v2 1 +3 10004 1 0", "injtrial v2 1 3 10004 1 0 ", "injtrial  v2 1 3 10004 1 0",
+		"injtrial v2 1 3 1000A 1 0", "injtrial v2 1 3 10004 1 128", "injtrial v2 1 3 10004 -1 0",
+		"injtrial v2 0 -9223372036854775808 ffffffffffffffff 6 -128", "injtrial v2 1 3 0x10004 1 0",
+		"injtrial v2 1 3 10004 1 0\n", "injtrial v2 1 3 10004 1", "injtrial v2 1 -0 0 0 0",
+	} {
+		f.Add([]byte(s))
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		tr, err := decodeTrial(b)
+		want, werr := fmtDecodeTrial(b)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("decode(%q): error %v, fmt oracle error %v", b, err, werr)
+		}
 		if err != nil {
 			return
+		}
+		if tr != want {
+			t.Fatalf("decode(%q) = %+v, fmt oracle %+v", b, tr, want)
 		}
 		if got := encodeTrial(tr); string(got) != string(b) {
 			t.Fatalf("accepted non-canonical blob %q (canonical %q)", b, got)

@@ -17,6 +17,7 @@ package pipe
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"avfstress/internal/avf"
 	"avfstress/internal/cache"
@@ -42,9 +43,22 @@ type Fault struct {
 }
 
 // Fingerprint returns a canonical description of the fault target for
-// internal/simcache trial keys.
+// internal/simcache trial keys: "pipe.Fault{<structure> <bit> <cycle>}"
+// in decimal.
 func (f Fault) Fingerprint() string {
-	return fmt.Sprintf("pipe.Fault{%d %d %d}", int(f.Structure), f.Bit, f.Cycle)
+	return string(f.AppendFingerprint(nil))
+}
+
+// AppendFingerprint appends f's Fingerprint to b, so hot key paths can
+// build it in a reused buffer.
+func (f Fault) AppendFingerprint(b []byte) []byte {
+	b = append(b, "pipe.Fault{"...)
+	b = strconv.AppendInt(b, int64(f.Structure), 10)
+	b = append(b, ' ')
+	b = strconv.AppendUint(b, f.Bit, 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, f.Cycle, 10)
+	return append(b, '}')
 }
 
 // FaultTrial is the outcome of one injection replay.

@@ -13,6 +13,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"avfstress/internal/isa"
@@ -139,13 +140,12 @@ func (p *Program) StaticLen() int { return len(p.Init) + len(p.Body) }
 func (p *Program) Fingerprint() string {
 	h := sha256.New()
 	fmt.Fprintf(h, "prog{name=%q iters=%d footprint=%d}", p.Name, p.Iterations, p.FootprintBytes)
+	var buf []byte // reused for every instruction's line
 	section := func(tag string, ins []isa.Instr) {
 		fmt.Fprintf(h, "|%s[%d]", tag, len(ins))
 		for i := range ins {
-			in := &ins[i]
-			fmt.Fprintf(h, "|%d,%d,%d,%d,%d,%t,%d,%d,%t",
-				in.Op, in.Dest, in.Src1, in.Src2, in.Imm, in.RegReg,
-				in.AddrGen, in.BrGen, in.UnACE)
+			buf = appendInstrFingerprint(buf[:0], &ins[i])
+			h.Write(buf)
 		}
 	}
 	section("init", p.Init)
@@ -162,6 +162,31 @@ func (p *Program) Fingerprint() string {
 		fmt.Fprintf(h, "|bg:%#v", g)
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// appendInstrFingerprint appends one instruction's fingerprint line to
+// b: the bytes fmt writes for "|%d,%d,%d,%d,%d,%t,%d,%d,%t" over (Op,
+// Dest, Src1, Src2, Imm, RegReg, AddrGen, BrGen, UnACE), built with
+// strconv since a program hashes one line per static instruction.
+func appendInstrFingerprint(b []byte, in *isa.Instr) []byte {
+	b = append(b, '|')
+	b = strconv.AppendUint(b, uint64(in.Op), 10)
+	b = append(b, ',')
+	b = strconv.AppendUint(b, uint64(in.Dest), 10)
+	b = append(b, ',')
+	b = strconv.AppendUint(b, uint64(in.Src1), 10)
+	b = append(b, ',')
+	b = strconv.AppendUint(b, uint64(in.Src2), 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(in.Imm), 10)
+	b = append(b, ',')
+	b = strconv.AppendBool(b, in.RegReg)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(in.AddrGen), 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(in.BrGen), 10)
+	b = append(b, ',')
+	return strconv.AppendBool(b, in.UnACE)
 }
 
 // Dyn is one dynamic instruction instance handed to the pipeline.

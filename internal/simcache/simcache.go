@@ -30,11 +30,13 @@ package simcache
 
 import (
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash"
 	"os"
 	"path/filepath"
 	"sync"
@@ -224,24 +226,67 @@ func (s *Store) View() *Store {
 // distinct part lists collides, and the store's engine version is always
 // included. Safe on a nil store.
 func (s *Store) Key(parts ...string) Key {
+	return sum(s.hashParts(parts))
+}
+
+// hashParts returns a SHA-256 state holding the store's engine version
+// and the given parts, each length-prefixed: the one key scheme Key and
+// Prefix share.
+func (s *Store) hashParts(parts []string) hash.Hash {
 	v := EngineVersion
 	if s != nil {
 		v = s.st.version
 	}
 	h := sha256.New()
-	var n [8]byte
-	write := func(p string) {
-		binary.LittleEndian.PutUint64(n[:], uint64(len(p)))
-		h.Write(n[:])
-		h.Write([]byte(p))
-	}
-	write(v)
+	writePart(h, v)
 	for _, p := range parts {
-		write(p)
+		writePart(h, p)
 	}
+	return h
+}
+
+// writePart feeds one length-prefixed key part to h.
+func writePart(h hash.Hash, p string) {
+	var n [8]byte
+	binary.LittleEndian.PutUint64(n[:], uint64(len(p)))
+	h.Write(n[:])
+	h.Write([]byte(p))
+}
+
+func sum(h hash.Hash) Key {
 	var k Key
 	h.Sum(k[:0])
 	return k
+}
+
+// Prefix is a key under construction: the hash state after the engine
+// version and a fixed list of leading parts. Callers that derive many
+// keys sharing those parts (an injection campaign's thousand trial keys
+// share one config/program/budget prefix) hash the prefix once. The
+// zero Prefix is not usable; build one with Store.Prefix.
+type Prefix struct {
+	state []byte // marshalled SHA-256 state
+}
+
+// Prefix returns the key prefix for the given leading parts:
+// s.Prefix(parts...).Key(last) == s.Key(parts..., last) bit for bit.
+// Safe on a nil store.
+func (s *Store) Prefix(parts ...string) Prefix {
+	state, err := s.hashParts(parts).(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		panic("simcache: sha256 state does not marshal: " + err.Error())
+	}
+	return Prefix{state: state}
+}
+
+// Key completes the prefix with one last part. Safe for concurrent use.
+func (p Prefix) Key(last string) Key {
+	h := sha256.New()
+	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(p.state); err != nil {
+		panic("simcache: sha256 state does not unmarshal: " + err.Error())
+	}
+	writePart(h, last)
+	return sum(h)
 }
 
 // Do returns the cached result for key, or runs simulate, stores its
